@@ -4,21 +4,12 @@ Time is measured in integer CE instruction cycles (170 ns each).  Components
 schedule callbacks at absolute cycles; ties are broken by scheduling order so
 runs are deterministic.
 
-Two dispatch loops produce the *same* event stream:
-
-* the **fast** loop (default) drains every event sharing the current cycle
-  in one heap pass before dispatching the batch, and fast-forwards the clock
-  over idle gaps (counting the skipped cycles);
-* the **legacy** loop pops one event at a time, exactly as the original
-  implementation did.
-
-Batching is order-preserving because any event a callback schedules draws a
-later sequence number than everything already popped, so dispatching the
-batch front-to-back and then re-draining the heap is exactly heap order.
-The loop is selected per engine at construction from
-:mod:`repro.hardware.fastpath` (``CEDAR_FASTPATH=0`` forces legacy), and the
-determinism tests assert both produce identical results and identical
-``events_dispatched`` counts.
+The dispatch loop drains every event sharing the current cycle in one heap
+pass before dispatching the batch, and fast-forwards the clock over idle
+gaps (counting the skipped cycles).  Batching is order-preserving because
+any event a callback schedules draws a later sequence number than
+everything already popped, so dispatching the batch front-to-back and then
+re-draining the heap is exactly heap order.
 
 Idle fast-forward relies on one invariant: **no component mutates simulation
 state off-queue**.  All state changes happen inside event callbacks (or
@@ -35,7 +26,7 @@ import itertools
 from typing import Callable, List, Optional
 
 from repro.errors import SimulationError
-from repro.hardware import fastpath, sanitize
+from repro.hardware import sanitize
 
 Callback = Callable[[], None]
 
@@ -44,8 +35,8 @@ def _cancelled() -> None:
     """Dispatch target of a cancelled recurring occurrence (a no-op).
 
     The dead heap entry cannot be removed from the middle of the heap, so
-    it is neutralized in place and dispatched as an inert event; both
-    dispatch loops count it identically, preserving A/B equivalence.
+    it is neutralized in place and dispatched as an inert event, counted
+    like any other.
     """
 
 #: Heap entries are mutable ``[cycle, sequence, callback]`` triples so that
@@ -114,8 +105,7 @@ class RecurringEvent:
         is neutralized in place (its callback slot becomes inert) and
         *detached*: a subsequent :meth:`schedule` arms a fresh entry,
         never rewriting the dead one still sitting in the queue.  The dead
-        entry is dispatched as an inert event when its cycle comes, which
-        both dispatch loops count identically.
+        entry is dispatched as an inert event when its cycle comes.
         """
         if not self._pending:
             return
@@ -127,7 +117,7 @@ class RecurringEvent:
 class Engine:
     """A deterministic event queue over an integer cycle clock."""
 
-    def __init__(self, fast_path: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._queue: List[Entry] = []
         self._sequence = itertools.count()
         self._now = 0
@@ -135,10 +125,6 @@ class Engine:
         self._in_dispatch = False
         self._run_dispatched = 0
         self._run_skipped = 0
-        #: Which dispatch loop run() uses; defaults to the global fastpath
-        #: flag at construction time.  Both loops dispatch the identical
-        #: event stream (see module docstring).
-        self.fast_path = fastpath.enabled() if fast_path is None else bool(fast_path)
         #: Armed invariant checker or None (see repro.hardware.sanitize).
         self._sanitizer = sanitize.current()
         #: Total events dispatched over this engine's lifetime.
@@ -221,9 +207,7 @@ class Engine:
         self._run_dispatched = 0
         self._run_skipped = 0
         try:
-            if self.fast_path:
-                return self._run_fast(until, max_events)
-            return self._run_legacy(until, max_events)
+            return self._dispatch(until, max_events)
         finally:
             self._running = False
             dispatched = self._run_dispatched
@@ -237,7 +221,7 @@ class Engine:
                         "engine", "idle_cycles_skipped", self._run_skipped
                     )
 
-    def _run_fast(self, until: Optional[int], max_events: int) -> int:
+    def _dispatch(self, until: Optional[int], max_events: int) -> int:
         """Batched dispatch: drain each cycle's events in one heap pass."""
         queue = self._queue
         pop = heapq.heappop
@@ -263,8 +247,7 @@ class Engine:
                         self._run_skipped += time - now - 1
                     now = time
                 if dispatched >= max_events:
-                    # self._now still holds the last dispatched cycle, which
-                    # is what the legacy loop reports too.
+                    # self._now still holds the last dispatched cycle.
                     raise SimulationError(
                         f"exceeded {max_events} events at cycle {self._now}; "
                         f"simulation is runaway"
@@ -291,7 +274,7 @@ class Engine:
                         index += 1
                 except BaseException:
                     # Keep undispatched same-cycle events in the queue so an
-                    # aborted run leaves the same state the legacy loop would.
+                    # aborted run leaves them for the next run().
                     for entry in batch[index + 1:]:
                         push(queue, entry)
                     dispatched += index + 1
@@ -302,38 +285,6 @@ class Engine:
                     now = until
             self._now = now
             return now
-        finally:
-            self._in_dispatch = False
-            self._run_dispatched = dispatched
-
-    def _run_legacy(self, until: Optional[int], max_events: int) -> int:
-        """The original one-event-at-a-time loop, kept for A/B verification."""
-        dispatched = 0
-        sanitizer = self._sanitizer
-        self._in_dispatch = True
-        try:
-            while self._queue:
-                time, _, callback = self._queue[0]
-                if sanitizer is not None and time != self._now:
-                    sanitizer.check_clock_advance(self, time, self._now)
-                if until is not None and time > until:
-                    self._now = until
-                    break
-                if dispatched >= max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events at cycle {self._now}; "
-                        f"simulation is runaway"
-                    )
-                heapq.heappop(self._queue)
-                if time - self._now > 1:
-                    self._run_skipped += time - self._now - 1
-                self._now = time
-                callback()
-                dispatched += 1
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
-            return self._now
         finally:
             self._in_dispatch = False
             self._run_dispatched = dispatched

@@ -481,9 +481,10 @@ class EnvReadRule(Rule):
         "the experiment config saying so -- and the content-addressed\n"
         "result cache would happily serve one's bytes for the other's\n"
         "request.  Configuration must flow through repro.config (part of\n"
-        "the experiment's identity) or be snapshot ONCE at import/\n"
-        "construction into an explicit module switch (fastpath/sanitize\n"
-        "pattern -- suppress those single reads with a commented noqa)."
+        "the experiment's identity) or be snapshot ONCE at import into\n"
+        "an explicit module switch (the CEDAR_SANITIZE pattern in\n"
+        "hardware/sanitize.py -- suppress that single read with a\n"
+        "commented noqa)."
     )
     exempt = ("config.py",)
 
@@ -521,9 +522,8 @@ class MpScopeRule(Rule):
         "concurrent.futures anywhere else creates a second, unaudited\n"
         "seam whose arrival order can leak into artifacts.  Route new\n"
         "parallelism through parallel_map()/run_partitioned(), or extend\n"
-        "the sanctioned allowlist deliberately (with its own determinism\n"
-        "test) -- partition/split.py's ProcessSplitMachine is the one\n"
-        "audited exception, suppressed at the import site."
+        "the sanctioned allowlist deliberately, with its own determinism\n"
+        "test."
     )
     exempt = ("partition/runtime.py", "serve/jobs.py")
 

@@ -156,7 +156,11 @@ class JobServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        # Content-Length is 1*DIGIT (RFC 9110 §8.6): no sign, no fraction.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ServeError(f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_REQUEST_BYTES:
             raise ServeError("request body too large", status=413)
         body = await reader.readexactly(length) if length else b""

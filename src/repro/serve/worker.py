@@ -1,7 +1,7 @@
 """Child-process side of a serve job: run one experiment, stream progress.
 
 :func:`execute_job` is the function :func:`repro.parallel.run_in_process`
-spawns per job.  It applies the job's config (fast-path engine selection,
+spawns per job.  It applies the job's config (machine spec, partitions,
 sanitizer arming), runs the experiment with a progress-forwarding tracer
 on the ambient trace bus, and returns the canonical result document bytes
 plus the job's columnar trace buffer and its telemetry (buffer bytes,
@@ -31,7 +31,7 @@ from contextlib import ExitStack
 from typing import Callable, Dict, Optional
 
 from repro.results import canonical_bytes, jsonable
-from repro.trace import Tracer, tracing
+from repro.trace import ColumnarStore, Tracer, tracing
 from repro.version import version_fingerprint
 
 #: Emit one progress event per this many trace records.  Cycle-level
@@ -58,57 +58,29 @@ def serve_trace_records() -> int:
     return value if value > 0 else DEFAULT_TRACE_RECORDS
 
 
-class _ProgressStore:
-    """Record-store proxy: forwards appends, fires a per-record callback.
+class _ProgressStore(ColumnarStore):
+    """A columnar store that fires a callback after every append.
 
     Progress throttling keys off records *appended* (``total_appended``),
     not records retained, so ring evictions never change the progress
     stream a job emits.
     """
 
-    columnar = True
-
-    def __init__(self, inner, on_record: Callable[[], None]) -> None:
-        self.inner = inner
+    def __init__(self, max_records: int, on_record: Callable[[], None]) -> None:
+        super().__init__(max_records)
         self._on_record = on_record
 
     def add_span(self, *args) -> None:
-        self.inner.add_span(*args)
+        super().add_span(*args)
         self._on_record()
 
     def add_instant(self, *args) -> None:
-        self.inner.add_instant(*args)
+        super().add_instant(*args)
         self._on_record()
 
     def add_sample(self, *args) -> None:
-        self.inner.add_sample(*args)
+        super().add_sample(*args)
         self._on_record()
-
-    @property
-    def num_records(self) -> int:
-        return self.inner.num_records
-
-    @property
-    def dropped(self) -> int:
-        return self.inner.dropped
-
-    @property
-    def total_appended(self) -> int:
-        return self.inner.total_appended
-
-    @property
-    def buffer_bytes(self) -> int:
-        return self.inner.buffer_bytes
-
-    @property
-    def max_records(self) -> int:
-        return self.inner.max_records
-
-    def counts(self) -> Dict[str, int]:
-        return self.inner.counts()
-
-    def snapshot(self):
-        return self.inner.snapshot()
 
 
 class ProgressTracer(Tracer):
@@ -124,10 +96,9 @@ class ProgressTracer(Tracer):
         super().__init__(
             enabled=True,
             max_records=max_records or serve_trace_records(),
-            columnar=True,
         )
         self._emit = emit
-        self._store = _ProgressStore(self._store, self._progress)
+        self._store = _ProgressStore(self.max_records, self._progress)
 
     def set_clock(self, clock) -> None:
         super().set_clock(clock)
@@ -164,72 +135,67 @@ def build_record(
     returned separately by :func:`execute_job`.
     """
     from repro.experiments.registry import get_experiment
-    from repro.hardware import fastpath
     from repro.validate import run_experiment_sanitized
 
     if emit is None:
         emit = lambda data: None  # noqa: E731
     experiment = get_experiment(experiment_key)
     partitions = int(config.get("partitions", 1))
-    previous_fastpath = fastpath.set_enabled(config.get("fastpath", True))
-    try:
-        with ExitStack() as scope:
-            spec_fields = config.get("spec")
-            if spec_fields is not None:
-                # Run the experiment on the machine this builder spec
-                # elaborates to.  The override is ambient, so every
-                # CedarMachine the driver builds -- including inside
-                # partition worker processes, which fork while the
-                # override is installed -- gets the spec's shape.
-                from repro.builder import MachineSpec, build_config
-                from repro.config import overriding
+    with ExitStack() as scope:
+        spec_fields = config.get("spec")
+        if spec_fields is not None:
+            # Run the experiment on the machine this builder spec
+            # elaborates to.  The override is ambient, so every
+            # CedarMachine the driver builds -- including inside
+            # partition worker processes, which fork while the
+            # override is installed -- gets the spec's shape.
+            from repro.builder import MachineSpec, build_config
+            from repro.config import overriding
 
-                spec = MachineSpec.from_dict(dict(spec_fields))
-                scope.enter_context(overriding(build_config(spec)))
-            if tracer is None:
-                tracer = ProgressTracer(emit)
+            spec = MachineSpec.from_dict(dict(spec_fields))
+            scope.enter_context(overriding(build_config(spec)))
+        if tracer is None:
+            tracer = ProgressTracer(emit)
+        emit(
+            {
+                "type": "running",
+                "experiment": experiment_key,
+                "config": config,
+            }
+        )
+        if partitions > 1:
+            # Partitioned parallel simulation: units run in forked child
+            # processes, each with its own tracer/sanitizer; this worker
+            # must be non-daemonic.
+            from repro.partition import run_partitioned
+
+            partitioned = run_partitioned(
+                experiment_key,
+                partitions,
+                sanitized=bool(config.get("sanitize", False)),
+            )
+            result = partitioned.result
+            rendered = partitioned.rendered
+            summary = partitioned.sanitizer
             emit(
                 {
-                    "type": "running",
-                    "experiment": experiment_key,
-                    "config": config,
+                    "type": "partitioned",
+                    "partitions": partitions,
+                    "events_per_sec": partitioned.telemetry[
+                        "events_per_sec"
+                    ],
                 }
             )
-            if partitions > 1:
-                # Partitioned parallel simulation: units run in forked child
-                # processes (they inherit the fastpath setting), each with its
-                # own tracer/sanitizer; this worker must be non-daemonic.
-                from repro.partition import run_partitioned
-
-                partitioned = run_partitioned(
-                    experiment_key,
-                    partitions,
-                    sanitized=bool(config.get("sanitize", False)),
-                )
-                result = partitioned.result
-                rendered = partitioned.rendered
-                summary = partitioned.sanitizer
-                emit(
-                    {
-                        "type": "partitioned",
-                        "partitions": partitions,
-                        "events_per_sec": partitioned.telemetry[
-                            "events_per_sec"
-                        ],
-                    }
-                )
-            else:
-                with tracing(tracer):
-                    if config.get("sanitize", False):
-                        rendered, result, summary = run_experiment_sanitized(
-                            experiment_key
-                        )
-                    else:
-                        result = experiment.run()
-                        rendered = experiment.render(result)
-                        summary = None
-    finally:
-        fastpath.set_enabled(previous_fastpath)
+        else:
+            with tracing(tracer):
+                if config.get("sanitize", False):
+                    rendered, result, summary = run_experiment_sanitized(
+                        experiment_key
+                    )
+                else:
+                    result = experiment.run()
+                    rendered = experiment.render(result)
+                    summary = None
     record: Dict[str, object] = {
         "experiment": experiment_key,
         "description": experiment.description,

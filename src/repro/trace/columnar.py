@@ -1,11 +1,9 @@
 """Columnar record storage for the trace bus.
 
-The legacy tracer kept one Python object per record (a frozen dataclass in
-a list), which is the scalability ceiling named in ROADMAP item 5: at
-million-record scale the object store costs ~2.3 us and a few hundred
-bytes per record, and per-worker timelines cannot be merged without
-re-materializing every object.  This module stores records the way the
-paper's hardware tracers do -- flat, preallocated, bounded:
+One Python object per record costs ~2.3 us and a few hundred bytes at
+million-record scale, and per-worker timelines of objects cannot be merged
+without re-materializing every one.  This module stores records the way
+the paper's hardware tracers do -- flat, preallocated, bounded:
 
 * each record kind (span / instant / counter sample) is a **ring of flat
   ``array('q')`` / ``array('d')`` columns** (stdlib ``array``: the repo is
@@ -30,8 +28,8 @@ samples    seq, component, name, epoch, cycle + value (float64)
 =========  =====================================================
 
 ``seq`` is a store-wide monotonic sequence number: it orders eviction
-(the globally-oldest record goes first, exactly like the legacy store's
-single shared ``max_records`` budget) and gives merges a deterministic
+(the globally-oldest record goes first, under one shared
+``max_records`` budget) and gives merges a deterministic
 tiebreak for records that share a cycle.
 """
 
@@ -392,16 +390,13 @@ def _segment_bytes(segments: Sequence[memoryview]) -> bytes:
 
 
 class ColumnarStore:
-    """The flat bounded record store behind a columnar :class:`Tracer`.
+    """The flat bounded record store behind a :class:`Tracer`.
 
-    One shared ``max_records`` budget spans all three kinds, like the
-    legacy object store -- but where the legacy store *dropped new*
-    records at capacity, the rings *evict the oldest* record machine-wide
-    (smallest ``seq``), so a long run always retains its most recent
-    window.  Evictions are counted in :attr:`dropped`.
+    One shared ``max_records`` budget spans all three kinds.  At capacity
+    the rings *evict the oldest* record machine-wide (smallest ``seq``),
+    so a long run always retains its most recent window.  Evictions are
+    counted in :attr:`dropped`.
     """
-
-    columnar = True
 
     def __init__(self, max_records: int) -> None:
         if max_records < 1:
@@ -413,7 +408,7 @@ class ColumnarStore:
         self._samples = _Ring(len(SAMPLE_INT_COLUMNS), 1, 0, limit=max_records)
         self._seq = 0
         self._retained = 0
-        self.dropped = 0  # oldest-evicted, mirroring the legacy counter
+        self.dropped = 0  # oldest-evicted records
 
     # -- hot appends ---------------------------------------------------------
 

@@ -6,12 +6,6 @@ from repro.errors import SimulationError
 from repro.hardware.engine import Engine
 
 
-@pytest.fixture(params=[True, False], ids=["fast", "legacy"])
-def any_engine(request):
-    """Both dispatch loops; they must be behaviourally identical."""
-    return Engine(fast_path=request.param)
-
-
 class TestScheduling:
     def test_events_run_in_time_order(self):
         engine = Engine()
@@ -144,38 +138,38 @@ class TestRunControl:
 
 
 class TestDelayValidation:
-    def test_integral_float_coerced(self, any_engine):
-        engine = any_engine
+    def test_integral_float_coerced(self):
+        engine = Engine()
         seen = []
         engine.schedule(5.0, lambda: seen.append(engine.now))
         engine.run_until_idle()
         assert seen == [5]
         assert engine.now == 5
 
-    def test_fractional_delay_rejected(self, any_engine):
+    def test_fractional_delay_rejected(self):
         with pytest.raises(SimulationError, match="integral"):
-            any_engine.schedule(1.5, lambda: None)
+            Engine().schedule(1.5, lambda: None)
 
-    def test_bool_delay_rejected(self, any_engine):
+    def test_bool_delay_rejected(self):
         with pytest.raises(SimulationError):
-            any_engine.schedule(True, lambda: None)
+            Engine().schedule(True, lambda: None)
 
-    def test_non_numeric_delay_rejected(self, any_engine):
+    def test_non_numeric_delay_rejected(self):
         with pytest.raises(SimulationError):
-            any_engine.schedule("3", lambda: None)
+            Engine().schedule("3", lambda: None)
 
 
 class TestOffQueueInvariant:
-    def test_schedule_outside_callback_while_running_rejected(self, any_engine):
+    def test_schedule_outside_callback_while_running_rejected(self):
         """The idle fast-forward contract: no off-queue scheduling mid-run."""
-        engine = any_engine
+        engine = Engine()
         engine._running = True  # as if run() were live without a dispatch
         with pytest.raises(SimulationError, match="off-queue"):
             engine.schedule(1, lambda: None)
         engine._running = False
 
-    def test_schedule_inside_callback_allowed(self, any_engine):
-        engine = any_engine
+    def test_schedule_inside_callback_allowed(self):
+        engine = Engine()
         seen = []
         engine.schedule(1, lambda: engine.schedule(1, lambda: seen.append("ok")))
         engine.run_until_idle()
@@ -183,9 +177,9 @@ class TestOffQueueInvariant:
 
 
 class TestFastDispatch:
-    def test_same_cycle_batch_preserves_order_with_nested(self, any_engine):
+    def test_same_cycle_batch_preserves_order_with_nested(self):
         """Events scheduled during a batch still run in sequence order."""
-        engine = any_engine
+        engine = Engine()
         order = []
 
         def first():
@@ -199,7 +193,7 @@ class TestFastDispatch:
         assert order == ["first", "second", "nested", "later"]
 
     def test_max_events_mid_batch_leaves_remainder_queued(self):
-        engine = Engine(fast_path=True)
+        engine = Engine()
         seen = []
         for tag in range(5):
             engine.schedule(1, lambda t=tag: seen.append(t))
@@ -210,7 +204,7 @@ class TestFastDispatch:
         assert engine.events_dispatched == 3
 
     def test_exception_mid_batch_requeues_remainder(self):
-        engine = Engine(fast_path=True)
+        engine = Engine()
         seen = []
 
         def boom():
@@ -226,8 +220,8 @@ class TestFastDispatch:
         engine.run_until_idle()
         assert seen == ["a", "b"]
 
-    def test_idle_cycles_skipped_counted(self, any_engine):
-        engine = any_engine
+    def test_idle_cycles_skipped_counted(self):
+        engine = Engine()
         engine.schedule(1, lambda: None)
         engine.schedule(1000, lambda: None)
         engine.run_until_idle()
@@ -235,35 +229,16 @@ class TestFastDispatch:
         # gap 1 -> 1000 has 998 empty cycles; 0 -> 1 has none.
         assert engine.idle_cycles_skipped == 998
 
-    def test_events_dispatched_accumulates_across_runs(self, any_engine):
-        engine = any_engine
+    def test_events_dispatched_accumulates_across_runs(self):
+        engine = Engine()
         engine.schedule(1, lambda: None)
         engine.run_until_idle()
         engine.schedule(1, lambda: None)
         engine.run_until_idle()
         assert engine.events_dispatched == 2
 
-    def test_fast_and_legacy_produce_identical_traces(self):
-        def trace(fast):
-            engine = Engine(fast_path=fast)
-            log = []
-
-            def tick(round_no):
-                log.append((engine.now, round_no))
-                if round_no < 20:
-                    engine.schedule(round_no % 3, lambda: tick(round_no + 1))
-
-            engine.schedule(0, lambda: tick(0))
-            engine.schedule(7, lambda: log.append((engine.now, "seven")))
-            for delay in (5, 5, 5):
-                engine.schedule(delay, lambda d=delay: log.append((engine.now, d)))
-            end = engine.run_until_idle()
-            return log, end, engine.events_dispatched, engine.idle_cycles_skipped
-
-        assert trace(True) == trace(False)
-
-    def test_until_with_fast_forward(self, any_engine):
-        engine = any_engine
+    def test_until_with_fast_forward(self):
+        engine = Engine()
         seen = []
         engine.schedule(5, lambda: seen.append("early"))
         engine.schedule(500, lambda: seen.append("late"))
@@ -275,8 +250,8 @@ class TestFastDispatch:
 
 
 class TestRecurringEvent:
-    def test_fires_at_interval(self, any_engine):
-        engine = any_engine
+    def test_fires_at_interval(self):
+        engine = Engine()
         ticks = []
         event = engine.recurring(3, lambda: ticks.append(engine.now))
 
@@ -288,8 +263,8 @@ class TestRecurringEvent:
         engine.run(until=10)
         assert ticks == [3]
 
-    def test_rearm_from_callback_chains(self, any_engine):
-        engine = any_engine
+    def test_rearm_from_callback_chains(self):
+        engine = Engine()
         ticks = []
 
         def tick():
@@ -302,24 +277,24 @@ class TestRecurringEvent:
         engine.run_until_idle()
         assert ticks == [2, 4, 6, 8]
 
-    def test_rearm_while_pending_rejected(self, any_engine):
-        engine = any_engine
+    def test_rearm_while_pending_rejected(self):
+        engine = Engine()
         event = engine.recurring(2, lambda: None)
         event.schedule()
         assert event.pending
         with pytest.raises(SimulationError, match="pending"):
             event.schedule()
 
-    def test_interval_validation(self, any_engine):
+    def test_interval_validation(self):
         with pytest.raises(SimulationError):
-            any_engine.recurring(-1, lambda: None)
+            Engine().recurring(-1, lambda: None)
         with pytest.raises(SimulationError):
-            any_engine.recurring(1.5, lambda: None)
+            Engine().recurring(1.5, lambda: None)
         with pytest.raises(SimulationError):
-            any_engine.recurring(True, lambda: None)
+            Engine().recurring(True, lambda: None)
 
-    def test_ties_with_plain_events_break_by_arming_order(self, any_engine):
-        engine = any_engine
+    def test_ties_with_plain_events_break_by_arming_order(self):
+        engine = Engine()
         order = []
 
         def setup():
@@ -333,8 +308,8 @@ class TestRecurringEvent:
 
 
 class TestRecurringCancel:
-    def test_cancel_before_fire_suppresses_callback(self, any_engine):
-        engine = any_engine
+    def test_cancel_before_fire_suppresses_callback(self):
+        engine = Engine()
         ticks = []
         event = engine.recurring(5, lambda: ticks.append(engine.now))
 
@@ -347,10 +322,10 @@ class TestRecurringCancel:
         assert ticks == []
         assert not event.pending
 
-    def test_cancel_mid_batch_neutralizes_queued_occurrence(self, any_engine):
+    def test_cancel_mid_batch_neutralizes_queued_occurrence(self):
         """A same-cycle event cancelling a recurrence already due in that
         cycle must win: the dead entry dispatches as an inert no-op."""
-        engine = any_engine
+        engine = Engine()
         ticks = []
         event = engine.recurring(5, lambda: ticks.append(engine.now))
 
@@ -364,16 +339,16 @@ class TestRecurringCancel:
         engine.run_until_idle()
         assert ticks == []
 
-    def test_cancel_is_idempotent_and_noop_when_idle(self, any_engine):
-        event = any_engine.recurring(3, lambda: None)
+    def test_cancel_is_idempotent_and_noop_when_idle(self):
+        event = Engine().recurring(3, lambda: None)
         event.cancel()  # never armed: nothing to do
         event.cancel()
         assert not event.pending
 
-    def test_cancel_then_reschedule_uses_a_fresh_entry(self, any_engine):
+    def test_cancel_then_reschedule_uses_a_fresh_entry(self):
         """The heap-entry-reuse path: re-arming after cancel must not
         resurrect (or rewrite) the dead entry still sitting in the heap."""
-        engine = any_engine
+        engine = Engine()
         ticks = []
         event = engine.recurring(3, lambda: ticks.append(engine.now))
 
@@ -386,10 +361,10 @@ class TestRecurringCancel:
         engine.run_until_idle()
         assert ticks == [3]  # exactly once, from the fresh entry
 
-    def test_idle_fast_forward_across_cancelled_recurrence(self, any_engine):
+    def test_idle_fast_forward_across_cancelled_recurrence(self):
         """A cancelled occurrence still holds its cycle in the queue; the
         clock visits it, dispatches the inert entry, and keeps skipping."""
-        engine = any_engine
+        engine = Engine()
         ticks = []
         event = engine.recurring(10, lambda: ticks.append(engine.now))
 
@@ -405,20 +380,20 @@ class TestRecurringCancel:
         # Gaps on both sides of the dead entry were fast-forwarded.
         assert engine.idle_cycles_skipped == (10 - 1) + (100 - 10 - 1)
 
-    def test_cancel_accounting_identical_across_loops(self):
-        def run(fast):
-            engine = Engine(fast_path=fast)
-            ticks = []
-            event = engine.recurring(4, lambda: ticks.append(engine.now))
+    def test_cancelled_entry_is_dispatched_and_counted(self):
+        engine = Engine()
+        ticks = []
+        event = engine.recurring(4, lambda: ticks.append(engine.now))
 
-            def setup():
-                event.schedule()
-                engine.schedule(4, lambda: ticks.append(-engine.now))
-                event.cancel()
-                event.schedule()
+        def setup():
+            event.schedule()
+            engine.schedule(4, lambda: ticks.append(-engine.now))
+            event.cancel()
+            event.schedule()
 
-            engine.schedule(0, setup)
-            engine.run_until_idle()
-            return ticks, engine.events_dispatched, engine.idle_cycles_skipped
-
-        assert run(True) == run(False)
+        engine.schedule(0, setup)
+        engine.run_until_idle()
+        assert ticks == [-4, 4]
+        # setup, the inert cancelled entry, the plain event, the re-arm.
+        assert engine.events_dispatched == 4
+        assert engine.idle_cycles_skipped == 3

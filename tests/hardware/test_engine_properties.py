@@ -60,15 +60,10 @@ class TestDelayCoercion:
     @settings(max_examples=40, deadline=None)
     @given(delays=st.lists(st.integers(0, 50), min_size=1, max_size=30))
     def test_dispatch_order_is_time_then_fifo(self, delays):
-        """Both loops dispatch (cycle, arrival-order) sorted, exactly."""
-        runs = []
-        for fast in (True, False):
-            engine = Engine(fast_path=fast)
-            order = []
-            for index, delay in enumerate(delays):
-                engine.schedule(delay, lambda d=delay, i=index: order.append((d, i)))
-            engine.run_until_idle()
-            runs.append(order)
-        expected = sorted((d, i) for i, d in enumerate(delays))
-        assert runs[0] == expected
-        assert runs[1] == expected
+        """Dispatch is (cycle, arrival-order) sorted, exactly."""
+        engine = Engine()
+        order = []
+        for index, delay in enumerate(delays):
+            engine.schedule(delay, lambda d=delay, i=index: order.append((d, i)))
+        engine.run_until_idle()
+        assert order == sorted((d, i) for i, d in enumerate(delays))

@@ -21,15 +21,21 @@ class TestCanonicalConfig:
     def test_override_applies(self):
         config = canonical_config({"sanitize": True})
         assert config["sanitize"] is True
-        assert config["fastpath"] is True
+        assert config["partitions"] == 1
 
     def test_keys_sorted(self):
-        config = canonical_config({"sanitize": True, "fastpath": False})
+        config = canonical_config({"sanitize": True, "partitions": 2})
         assert list(config) == sorted(config)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ServeError, match="unknown config key"):
             canonical_config({"warp_speed": True})
+
+    def test_retired_fastpath_key_rejected(self):
+        # One engine remains, so there is no engine variant to select.
+        with pytest.raises(ServeError, match="unknown config key") as info:
+            canonical_config({"fastpath": True})
+        assert info.value.status == 400
 
     def test_non_boolean_rejected(self):
         with pytest.raises(ServeError, match="must be a boolean"):

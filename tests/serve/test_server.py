@@ -11,6 +11,7 @@ submissions cost exactly one simulation.
 
 import asyncio
 import concurrent.futures
+import http.client
 import json
 import threading
 import time
@@ -140,6 +141,26 @@ class TestHttpBasics:
                 client.submit("table2", config={"warp": True})
             assert info.value.status == 400
 
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+    def test_malformed_content_length_is_400(self, length):
+        server, stub = stub_server()
+        with server:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server.port, timeout=10
+            )
+            try:
+                connection.putrequest("POST", "/jobs")
+                connection.putheader("Content-Length", length)
+                connection.endheaders()
+                response = connection.getresponse()
+                status, payload = response.status, response.read()
+            finally:
+                connection.close()
+            assert status == 400
+            assert "Content-Length" in json.loads(payload)["error"]
+            assert server.client.healthz()["status"] == "ok"
+        assert stub.calls == []
+
     def test_submit_wait_result_and_listing(self):
         server, stub = stub_server()
         with server:
@@ -243,7 +264,7 @@ def _stub_trace_bytes():
     """A tiny but real columnar snapshot for the stub executor to serve."""
     from repro.trace import Tracer
 
-    tracer = Tracer(enabled=True, columnar=True)
+    tracer = Tracer(enabled=True)
     tracer.complete("stub", "work", 0, 10)
     tracer.instant("stub", "posted", cycle=5, value=1)
     return tracer.snapshot().to_bytes()
@@ -394,8 +415,7 @@ class TestRealSimulation:
             assert record["experiment"] == "table6"
             assert record["code_version"] == version_fingerprint()
             assert record["config"] == {
-                "fastpath": True, "partitions": 1, "sanitize": False,
-                "spec": None,
+                "partitions": 1, "sanitize": False, "spec": None,
             }
 
             samples = parse_prometheus(client.metrics_text())

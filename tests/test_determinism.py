@@ -1,17 +1,13 @@
-"""Fast paths and parallel execution must not change a single result.
+"""Reruns and parallel execution must not change a single result.
 
-The perf layer makes three claims (see DESIGN.md "Idle fast-forward"):
-
-* the engine's batched dispatch loop produces the event stream of the
-  one-at-a-time loop, including ``events_dispatched``;
-* the components' wake-slimming (crossbar head-route masks) is
-  observationally equivalent to waking every arbiter;
-* ``--jobs N`` only changes which process runs an experiment, never what
-  the experiment computes.
-
-These tests pin all three by running real cycle-level kernels both ways
-and comparing everything that is visible: monitor histograms, the full
-machine metrics registry, and engine dispatch counts.
+* A cycle-level run is a pure function of its inputs: rerunning a real
+  kernel reproduces every visible output -- monitor histograms, the full
+  machine metrics registry and ``events_dispatched``.
+* Under arbitrary network contention, with the sanitizer's reference
+  arbiter checking every masked grant and skip, a rerun reproduces the
+  exact delivery stream.
+* ``--jobs N`` and ``--partitions N`` only change which process runs a
+  piece of work, never what it computes.
 """
 
 import multiprocessing
@@ -20,7 +16,7 @@ import random
 import pytest
 
 from repro.config import NetworkConfig
-from repro.hardware import fastpath, sanitize
+from repro.hardware import sanitize
 from repro.hardware.engine import Engine
 from repro.hardware.network import OmegaNetwork
 from repro.hardware.packet import Packet, PacketKind
@@ -47,14 +43,6 @@ def _traced_run(kernel):
     return repr(run), machine, monitors, events
 
 
-def _with_fastpath(flag, kernel):
-    previous = fastpath.set_enabled(flag)
-    try:
-        return _traced_run(kernel)
-    finally:
-        fastpath.set_enabled(previous)
-
-
 @pytest.mark.parametrize(
     "kernel",
     [
@@ -62,20 +50,23 @@ def _with_fastpath(flag, kernel):
         pytest.param(lambda: measure_tridiag(8), id="tridiag-8"),
     ],
 )
-def test_fastpath_on_off_byte_identical(kernel):
-    fast = _with_fastpath(True, kernel)
-    legacy = _with_fastpath(False, kernel)
-    assert fast[0] == legacy[0]        # rendered kernel result
-    assert fast[1] == legacy[1]        # full machine registry, exact
-    assert fast[2] == legacy[2]        # performance-monitor histograms
-    assert fast[3] == legacy[3]        # engine.events_dispatched
-    assert fast[3] is not None and fast[3] > 0
+def test_kernel_matches_its_own_rerun(kernel):
+    first = _traced_run(kernel)
+    second = _traced_run(kernel)
+    assert first[0] == second[0]        # rendered kernel result
+    assert first[1] == second[1]        # full machine registry, exact
+    assert first[2] == second[2]        # performance-monitor histograms
+    assert first[3] == second[3]        # engine.events_dispatched
+    assert first[3] is not None and first[3] > 0
 
 
 def test_fastpath_snapshot_matches_its_own_rerun():
-    """Fast-path runs are themselves deterministic across repeats."""
-    first = _with_fastpath(True, lambda: measure_vector_load(8))
-    second = _with_fastpath(True, lambda: measure_vector_load(8))
+    """The dispatch loop that began as the opt-in fast path, now the
+    engine's only loop, reproduces a run even after another kernel ran
+    in the same process: no state leaks from one run into the next."""
+    first = _traced_run(lambda: measure_vector_load(8))
+    _traced_run(lambda: measure_tridiag(8))
+    second = _traced_run(lambda: measure_vector_load(8))
     assert first == second
 
 
@@ -113,7 +104,7 @@ def _fuzz_network_run(seed):
         assert network.num_stages == 2
         deliveries = []
         for port in range(16):
-            # packet_id is a process-global counter, so the A/B runs tag
+            # packet_id is a process-global counter, so reruns tag
             # packets with their per-run flow index instead.
             network.attach_sink(
                 port,
@@ -242,23 +233,15 @@ def test_registry_unit_decompositions_cover_run(key):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1993])
-def test_fuzzed_network_fastpath_on_off_identical(seed):
-    """Differential fuzz: CEDAR_FASTPATH=0 vs 1, sanitizer armed in both.
+def test_fuzzed_network_rerun_identical(seed):
+    """Seeded contention fuzz with the sanitizer armed, run twice.
 
-    The masked-wake and batched-dispatch rewrites must be invisible under
-    arbitrary contention: byte-identical delivery streams and identical
-    ``events_dispatched``.
+    The masked-wake crossbar and batched dispatch must agree with the
+    sanitizer's reference arbiter under arbitrary contention, and a rerun
+    must reproduce the delivery stream and ``events_dispatched`` exactly.
     """
-    previous = fastpath.set_enabled(True)
-    try:
-        fast = _fuzz_network_run(seed)
-    finally:
-        fastpath.set_enabled(previous)
-    previous = fastpath.set_enabled(False)
-    try:
-        legacy = _fuzz_network_run(seed)
-    finally:
-        fastpath.set_enabled(previous)
-    assert fast[0] == legacy[0]  # (port, packet_id, cycle) stream
-    assert fast[1] == legacy[1]  # events_dispatched
-    assert fast[2] == legacy[2] == 0  # network fully drained
+    first = _fuzz_network_run(seed)
+    second = _fuzz_network_run(seed)
+    assert first[0] == second[0]  # (port, packet_id, cycle) stream
+    assert first[1] == second[1]  # events_dispatched
+    assert first[2] == second[2] == 0  # network fully drained

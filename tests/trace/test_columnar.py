@@ -11,7 +11,6 @@ from repro.trace import (
     TraceSnapshot,
     Tracer,
     chrome_trace_json,
-    columnar_enabled,
     utilization_report,
 )
 from repro.trace.columnar import INITIAL_CAPACITY, render_value
@@ -110,7 +109,7 @@ class TestRingWraparound:
         assert store.dropped == 0
 
     def test_tracer_wraparound_keeps_exporters_consistent(self):
-        tracer = Tracer(clock=FakeClock(), max_records=8, columnar=True)
+        tracer = Tracer(clock=FakeClock(), max_records=8)
         _record_mixed(tracer, n=10)  # 30 records into an 8-slot budget
         assert tracer.num_records == 8
         assert tracer.dropped == 22
@@ -130,57 +129,9 @@ class TestRingWraparound:
             ColumnarStore(max_records=0)
 
 
-class TestLegacyParity:
-    """CEDAR_COLUMNAR=0 (object store) must export byte-identically."""
-
-    def _traced(self, columnar: bool) -> Tracer:
-        tracer = Tracer(clock=FakeClock(), columnar=columnar)
-        _record_mixed(tracer)
-        tracer.instant("bus", "signal", cycle=99, value="text")
-        return tracer
-
-    def test_chrome_json_byte_identical(self):
-        legacy = chrome_trace_json(self._traced(columnar=False))
-        columnar = chrome_trace_json(self._traced(columnar=True))
-        assert legacy == columnar
-
-    def test_utilization_report_identical(self):
-        assert utilization_report(self._traced(False)) == utilization_report(
-            self._traced(True)
-        )
-
-    def test_wire_round_trips_export_identically(self):
-        # The string-table *order* may differ (the object store interns at
-        # snapshot time, per kind; the columnar store in record order), but
-        # everything id-resolved must match through the wire format too.
-        legacy = TraceSnapshot.from_bytes(self._traced(False).snapshot().to_bytes())
-        columnar = TraceSnapshot.from_bytes(self._traced(True).snapshot().to_bytes())
-        assert chrome_trace_json(legacy) == chrome_trace_json(columnar)
-        assert legacy.counter_totals == columnar.counter_totals
-        assert legacy.records_seen == columnar.records_seen
-
-    def test_drop_accounting_differs_only_in_window(self):
-        # Same drop *count*; the legacy store drops newest, the ring
-        # evicts oldest -- both retain max_records.
-        legacy = Tracer(clock=FakeClock(), max_records=5, columnar=False)
-        columnar = Tracer(clock=FakeClock(), max_records=5, columnar=True)
-        for tracer in (legacy, columnar):
-            for i in range(9):
-                tracer.instant("c", "tick", cycle=i, value=i)
-        assert legacy.dropped == columnar.dropped == 4
-        assert legacy.num_records == columnar.num_records == 5
-        assert [i.value for i in legacy.instants] == [0, 1, 2, 3, 4]
-        assert [i.value for i in columnar.instants] == [4, 5, 6, 7, 8]
-
-    def test_env_gate(self):
-        assert columnar_enabled({}) is True
-        assert columnar_enabled({"CEDAR_COLUMNAR": "0"}) is False
-        assert columnar_enabled({"CEDAR_COLUMNAR": "1"}) is True
-
-
 class TestWireFormat:
     def _snapshot(self) -> TraceSnapshot:
-        tracer = Tracer(clock=FakeClock(), columnar=True)
+        tracer = Tracer(clock=FakeClock())
         _record_mixed(tracer)
         return tracer.snapshot()
 
@@ -240,7 +191,7 @@ class TestZeroCopySnapshot:
 
 class TestOverheadEstimate:
     def test_reports_per_record_cost_and_ratio(self):
-        tracer = Tracer(clock=FakeClock(), columnar=True)
+        tracer = Tracer(clock=FakeClock())
         _record_mixed(tracer)
         estimate = tracer.overhead_estimate(wall_seconds=1.0)
         assert estimate["records"] == tracer.records_seen
@@ -251,7 +202,7 @@ class TestOverheadEstimate:
         )
 
     def test_zero_wall_clock_does_not_divide(self):
-        tracer = Tracer(clock=FakeClock(), columnar=True)
+        tracer = Tracer(clock=FakeClock())
         tracer.instant("c", "tick", cycle=0)
         estimate = tracer.overhead_estimate(wall_seconds=0.0)
         assert estimate["ratio"] == 0.0
