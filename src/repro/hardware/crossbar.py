@@ -13,16 +13,23 @@ rather than two; the total buffering per port pair and the back-pressure
 behaviour are preserved.
 
 Head-route masks: every input queue reports head changes to the switch,
-which keeps a per-output count of head packets routed to that output
-(``_heads_for``).  A wake of an arbiter with no head routed to it is
-observationally a no-op -- the round-robin scan would find nothing, count
-nothing and register nothing -- so masked wakes skip straight past it in
-O(1).  Scans that *can* see a candidate run in full (including re-scans
-that re-count a port conflict), so arbitration order, port-conflict counts
-and all timing match a plain scan over every input; the sanitizer's
-reference arbiter proves that on every grant and skip.  The deferred
-post-pop re-scan event is always scheduled: whether it finds work is only
-known at dispatch time, after same-cycle arrivals.
+which keeps, per output ``o``, an input bitmask ``_inputs_for[o]`` (bit
+``i`` set while the head of input ``i`` routes to ``o``) and one
+switch-wide ``_ready`` bitmask (bit ``o`` set while some head routes to
+``o`` and arbiter ``o`` is not busy).  The head listener maintains both;
+the arbiter's grant and finish maintain ``_ready`` across its busy
+transitions.  A round-robin scan is then a bit scan: the first set bit of
+``_inputs_for[o]`` at or after ``_next_input``, wrapping.  A scan over no
+routed head is observationally a no-op -- it would find nothing, count
+nothing and register nothing -- so ``wake_all`` walks only the set bits of
+``_ready`` and a finishing arbiter re-wakes only while its ready bit is
+set.  Every scan that *can* see a candidate still runs (including re-scans
+that re-count a port conflict against a full sink), so arbitration order,
+port-conflict counts and all timing match a plain scan over every input;
+the sanitizer's reference arbiter proves that on every grant and skip,
+and checks both masks against the actual queue heads and busy flags.  The
+deferred post-grant ``wake_all`` event is always scheduled: whether it
+finds work is only known at dispatch time, after same-cycle arrivals.
 """
 
 from __future__ import annotations
@@ -50,9 +57,9 @@ class _OutputArbiter:
         "_next_input",
         "_in_flight",
         "_sink",
-        "_heads",
+        "_bit",
+        "_inputs_for",
         "_queues",
-        "_head_route",
         "_sanitizer",
     )
 
@@ -71,11 +78,12 @@ class _OutputArbiter:
         self._next_input = 0
         self._in_flight: Optional[Packet] = None
         self._sink: Optional[BoundedWordQueue] = None
+        #: This output's bit in the switch's ``_ready`` mask.
+        self._bit = 1 << output_index
         # Hot-path prebinds: wake() runs once or more per event on the
         # network's critical path.
-        self._heads = switch._heads_for
+        self._inputs_for = switch._inputs_for
         self._queues = switch.input_queues
-        self._head_route = switch._head_route
         self._sanitizer = switch._sanitizer
 
     def attach(self, sink: BoundedWordQueue) -> None:
@@ -86,44 +94,47 @@ class _OutputArbiter:
         sink = self._sink
         if self._busy or sink is None:
             return
-        switch = self.switch
-        queues = self._queues
-        radix = switch.radix
-        start = self._next_input
-        # The head-route array already holds route(head) per input (None
-        # when empty), so the scan needs no head()/route() calls until it
-        # lands on a match.  The scan is inlined here because wake() fires
-        # for every push on the network's critical path.
-        output_index = self.output_index
-        if not self._heads[output_index]:
+        inputs = self._inputs_for[self.output_index]
+        if not inputs:
             if self._sanitizer is not None:
                 # The skip is only legal if the reference scan would also
                 # have found nothing; prove it.
                 self._sanitizer.check_masked_skip(self)
             return  # no head routed here: the scan could find nothing
-        head_route = self._head_route
-        chosen = -1
-        for offset in range(radix):
-            index = start + offset
-            if index >= radix:
-                index -= radix
-            if head_route[index] != output_index:
-                continue
-            head = queues[index]._packets[0]
-            if head.words <= sink.capacity_words - sink._used_words:
-                chosen = index
-                break
-            self._count_conflict(sink, head)
-            return
-        if chosen < 0:
+        # Round-robin pick: the lowest set bit at or after the pointer,
+        # else (wrapping) the lowest set bit overall.
+        start = self._next_input
+        later = inputs >> start
+        if later:
+            chosen = start + (later & -later).bit_length() - 1
+        else:
+            chosen = (inputs & -inputs).bit_length() - 1
+        queue = self._queues[chosen]
+        switch = self.switch
+        if queue._packets[0].words > sink.capacity_words - sink._used_words:
+            # Head routed here but downstream is full: wait for space.  The
+            # space waiter re-wakes this arbiter, which re-scans fairly.
+            # Every re-scan that hits the full sink counts another conflict.
+            if self._sanitizer is not None:
+                self._sanitizer.check_port_conflict(self, queue._packets[0])
+            counters = switch._trace_counters
+            if counters is not None:
+                slot = switch._slot_conflicts
+                if slot < 0:
+                    slot = switch._slot_conflicts = counters.slot(
+                        "port_conflicts"
+                    )
+                counters.values[slot] += 1
+            sink._space_waiters.append(self.wake)
             return
         if self._sanitizer is not None:
             # Before any mutation: the grant must match the shadow
             # reference arbiter and the round-robin pointer must be fair.
             self._sanitizer.check_arbiter_grant(self, start, chosen)
         self._busy = True
-        packet = queues[chosen].pop()
-        self._next_input = (chosen + 1) % radix
+        switch._ready &= ~self._bit
+        packet = queue.pop()
+        self._next_input = (chosen + 1) % switch.radix
         self._in_flight = packet
         delay = packet.words * self.cycles_per_word
         # Inlined Engine.schedule_after: two heap entries per transfer make
@@ -142,21 +153,6 @@ class _OutputArbiter:
         # packet arriving later in this same cycle can give the re-scan
         # real work (and conflict counts) only visible at dispatch time.
         heappush(event_queue, [now, next(sequence), switch.wake_all])
-
-    def _count_conflict(self, sink: BoundedWordQueue, head: Packet) -> None:
-        # Head routed here but downstream is full: wait for space.  The
-        # space waiter re-wakes this arbiter, which re-scans fairly.  Every
-        # re-scan that hits the full sink counts another conflict.
-        if self._sanitizer is not None:
-            self._sanitizer.check_port_conflict(self, head)
-        switch = self.switch
-        counters = switch._trace_counters
-        if counters is not None:
-            slot = switch._slot_conflicts
-            if slot < 0:
-                slot = switch._slot_conflicts = counters.slot("port_conflicts")
-            counters.values[slot] += 1
-        sink.wait_for_space(self.wake)
 
     def _finish(self) -> None:
         packet = self._in_flight
@@ -181,7 +177,11 @@ class _OutputArbiter:
                 values = counters.values
                 values[slot] += 1
                 values[switch._slot_words] += packet.words
-            self.wake()
+            if self._inputs_for[self.output_index]:
+                switch._ready |= self._bit
+                self.wake()
+            elif self._sanitizer is not None:
+                self._sanitizer.check_masked_skip(self)
         else:
             sink.wait_for_space(self._finish)
 
@@ -223,8 +223,11 @@ class CrossbarSwitch:
         self._slot_words = -1
         #: Armed invariant checker or None; the arbiters prebind it.
         self._sanitizer = sanitize.current()
-        #: How many input-queue heads currently route to each output.
-        self._heads_for: List[int] = [0] * radix
+        #: Per output: bitmask of the inputs whose head packet routes there.
+        self._inputs_for: List[int] = [0] * radix
+        #: Bit ``o`` set while ``_inputs_for[o]`` is non-zero and arbiter
+        #: ``o`` is not busy: the outputs a ``wake_all`` pass must visit.
+        self._ready = 0
         #: Route of each input queue's head packet (None when empty).
         self._head_route: List[Optional[int]] = [None] * radix
         self.input_queues: List[BoundedWordQueue] = [
@@ -250,7 +253,10 @@ class CrossbarSwitch:
         packets = queue._packets
         route = self.route
         head_route = self._head_route
-        heads_for = self._heads_for
+        inputs_for = self._inputs_for
+        arbiters = self.arbiters
+        bit = 1 << index
+        clear = ~bit
 
         def head_changed() -> None:
             new_route = route(packets[0]) if packets else None
@@ -259,21 +265,41 @@ class CrossbarSwitch:
                 return
             head_route[index] = new_route
             if old_route is not None:
-                heads_for[old_route] -= 1
+                remaining = inputs_for[old_route] & clear
+                inputs_for[old_route] = remaining
+                if not remaining:
+                    self._ready &= ~(1 << old_route)
             if new_route is not None:
-                heads_for[new_route] += 1
+                inputs_for[new_route] |= bit
+                if not arbiters[new_route]._busy:
+                    self._ready |= 1 << new_route
 
         return head_changed
 
     def wake_all(self) -> None:
-        """Give every output arbiter a chance to pick up a head packet."""
+        """Give every ready output arbiter a chance to pick up a head packet.
+
+        Visits the set bits of ``_ready`` lowest-first, re-reading the mask
+        after every wake: a grant (or a push re-entering during one) can
+        set or clear bits above the current output, and the pass sees them
+        exactly as an in-order scan of every output would.
+        """
         if self._sanitizer is not None:
             # One pass per wake_all: the derived head-route masks must
             # mirror the actual queue heads before any arbiter trusts them.
             self._sanitizer.check_crossbar_masks(self)
-        for count, arbiter in zip(self._heads_for, self.arbiters):
-            if count and not arbiter._busy:
-                arbiter.wake()
+        pending = self._ready
+        if not pending:
+            return
+        arbiters = self.arbiters
+        output = (pending & -pending).bit_length() - 1
+        while True:
+            arbiters[output].wake()
+            output += 1
+            pending = self._ready >> output
+            if not pending:
+                return
+            output += (pending & -pending).bit_length() - 1
 
     def connect_output(self, output_index: int, sink: BoundedWordQueue) -> None:
         """Wire output ``output_index`` into a downstream queue."""

@@ -21,7 +21,8 @@ Checked invariant classes (see DESIGN.md for the paper justification):
   equals words buffered (credits are conserved; Section 2, "flow control
   between stages prevents queue overflow").
 * ``queue.head`` -- the crossbar's derived head-route masks agree with the
-  actual queue heads (the mask bookkeeping is consistent).
+  actual queue heads and arbiter busy flags: per-input head routes, the
+  per-output input bitmasks and the switch's ready bitmask.
 * ``crossbar.arbiter`` -- every grant matches a shadow reference arbiter
   (unmasked round-robin first-fit), masked wake skips are provably no-ops,
   the round-robin pointer always advances past the last grant, and port
@@ -311,27 +312,40 @@ class Sanitizer:
     # -- crossbars (masks + shadow arbiter) --------------------------------
 
     def check_crossbar_masks(self, switch) -> None:
-        """The head-route masks must mirror the actual queue heads."""
+        """The head-route masks must mirror the queue heads and busy flags."""
         self._count("queue.head")
+        name = switch.name or "crossbar"
         route = switch.route
-        counts = [0] * switch.radix
+        inputs_for = [0] * switch.radix
         for index, queue in enumerate(switch.input_queues):
             head = queue.head()
             expected = route(head) if head is not None else None
             if switch._head_route[index] != expected:
                 self._violate(
-                    "queue.head", switch.name or "crossbar",
+                    "queue.head", name,
                     f"head-route mask of input {index} says "
                     f"{switch._head_route[index]!r}, head routes to {expected!r}",
                     input=index, mask=switch._head_route[index], actual=expected,
                 )
             if expected is not None:
-                counts[expected] += 1
-        if counts != switch._heads_for:
+                inputs_for[expected] |= 1 << index
+        if inputs_for != switch._inputs_for:
             self._violate(
-                "queue.head", switch.name or "crossbar",
-                f"per-output head counts {switch._heads_for} != actual {counts}",
-                mask=list(switch._heads_for), actual=counts,
+                "queue.head", name,
+                f"per-output input masks {switch._inputs_for} != actual "
+                f"{inputs_for}",
+                mask=list(switch._inputs_for), actual=inputs_for,
+            )
+        ready = 0
+        for output, arbiter in enumerate(switch.arbiters):
+            if inputs_for[output] and not arbiter._busy:
+                ready |= 1 << output
+        if ready != switch._ready:
+            self._violate(
+                "queue.head", name,
+                f"ready mask {switch._ready:#x} != actual {ready:#x} "
+                f"(outputs with a routed head and an idle arbiter)",
+                mask=switch._ready, actual=ready,
             )
 
     def _reference_scan(self, arbiter) -> Tuple[str, Optional[int]]:

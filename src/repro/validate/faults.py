@@ -56,14 +56,14 @@ def _drill_flow_control_credit() -> None:
 
 
 def _drill_queue_head() -> None:
-    """The crossbar's derived head-route mask lies about a queue head."""
+    """The crossbar's ready mask names an output no head routes to."""
     engine = Engine()
     switch = CrossbarSwitch(
         engine, radix=2, route=lambda p: p.destination % 2,
         queue_words=8, name="drill.xbar",
     )
     switch.input_queues[0].push(_packet(destination=0))  # no sinks: no grant
-    switch._head_route[0] = 1  # corrupt the mask behind the listener's back
+    switch._ready |= 1 << 1  # corrupt the mask behind the listener's back
     switch.wake_all()
 
 
@@ -77,7 +77,7 @@ def _drill_crossbar_arbiter() -> None:
     switch.input_queues[0].push(_packet(destination=0))
     for arbiter in switch.arbiters:
         arbiter.attach(BoundedWordQueue(8, name="drill.arb.sink"))
-    switch._heads_for[0] = 0  # lie: "no head routes to output 0"
+    switch._inputs_for[0] = 0  # lie: "no head routes to output 0"
     switch.arbiters[0].wake()
 
 

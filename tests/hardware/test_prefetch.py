@@ -4,9 +4,15 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.errors import SimulationError
-from repro.hardware.ce import ArmFirePrefetch, AwaitPrefetch, ConsumePrefetch
+from repro.hardware.ce import (
+    ArmFirePrefetch,
+    AwaitPrefetch,
+    ConsumePrefetch,
+    GlobalLoads,
+)
 from repro.hardware.machine import CedarMachine
 from repro.hardware.prefetch import PAGE_RESUME_CYCLES
+from repro.trace import Tracer, tracing
 
 
 def run_one_prefetch(length=32, stride=1, start=4096):
@@ -110,3 +116,44 @@ class TestBufferInvalidation:
         # 32 words at >= 1 cycle each plus startup and fill latency.
         assert times["elapsed"] >= 32
         assert times["flops"] == 64.0
+
+
+class TestReplyTags:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            pytest.param(
+                lambda: ArmFirePrefetch(length=64, stride=32, start_address=4096),
+                id="prefetch",
+            ),
+            pytest.param(
+                lambda: GlobalLoads(
+                    start_address=4096, length=16, stride=32, max_outstanding=8
+                ),
+                id="global-loads",
+            ),
+        ],
+    )
+    def test_rejected_injections_leave_no_tag_behind(self, op):
+        """Every CE hammers one memory module, so the forward network
+        rejects injections; a rejected request's reply tag must be freed,
+        leaving no callback registered once every CE has finished."""
+        tracer = Tracer(enabled=True)
+        with tracing(tracer):
+            machine = CedarMachine()
+
+        def kernel(ce):
+            issued = op()
+            result = yield issued
+            if isinstance(issued, ArmFirePrefetch):
+                yield AwaitPrefetch(result)
+
+        machine.run_kernel(kernel)
+        rejections = sum(
+            counters.get("injection_rejections", 0)
+            for counters in tracer.counter_totals().values()
+        )
+        assert rejections > 0
+        assert [len(ce.port._callbacks) for ce in machine.all_ces] == [0] * len(
+            machine.all_ces
+        )

@@ -2,7 +2,7 @@
 
 A reference model (a plain list plus word counters) shadows the queue
 through arbitrary push/pop sequences -- including pops re-entered from
-item listeners, the way crossbar arbiters and links actually drain queues
+item listeners, the way crossbar arbiters and network sinks drain queues
 -- and the sanitizer is armed throughout, so its capacity and credit
 checks run on every operation without a single false positive.
 """
@@ -71,7 +71,7 @@ class TestRandomInterleavings:
     @settings(max_examples=40, deadline=None)
     @given(words=st.lists(st.integers(1, 4), min_size=1, max_size=40))
     def test_greedy_drain_listener_reentrancy(self, words):
-        """An item listener popping the queue mid-push (a Link/sink pattern)
+        """An item listener popping the queue mid-push (a greedy sink pattern)
         must see consistent state and preserve FIFO order."""
         with sanitize.sanitizing() as sanitizer:
             queue = BoundedWordQueue(4, name="drain")
